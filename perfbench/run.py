@@ -2,10 +2,11 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload table4-cold --seed 1 --seconds 20 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload table4-cold --seed 1 --seconds 35 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 35 --trace 0
 
-``--trace 0`` measures the end-to-end metrics with no tracing installed;
+``--trace 0`` measures the end-to-end metrics with no tracing installed,
+timings scaled for the host's speed (``hostspeed.py``);
 ``--trace 1`` is a separate run that wraps each layer boundary, profiles
 one unit with ``repro.profiling.profile_suite``, and reports per-layer
 metrics plus the tracing overhead. The last line of standard output is
@@ -30,6 +31,7 @@ import tempfile
 import time
 from pathlib import Path
 
+import hostspeed
 import layers
 
 HERE = Path(__file__).resolve().parent
@@ -37,6 +39,9 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 SCRATCH = ROOT / ".perfbench"
 SETUP_REPEATS = 3
+#: Reference samples before set-up and after timing, beside those between
+#: units, so a run of few long units still has a steady median.
+CALIBRATION_REPEATS = 5
 
 END_TO_END = {"setup_s": "s", "scenarios_per_s": "1/s", "job_s_p50": "s",
               "job_s_tail": "s", "peak_rss_mb": "MB"}
@@ -62,12 +67,14 @@ def tail(samples: list[float]) -> tuple[float, float, int]:
     return ordered[n - 11], 100.0 * (n - 10) / n, n
 
 
-def timed(workload, seconds: float) -> list:
-    """Closed loop: the next unit starts when the previous one is done."""
+def timed(workload, seconds: float, calibration) -> list:
+    """Closed loop: the next unit starts when the previous one is done.
+    Reference samples fall between units, outside their wall time."""
     units = []
     started = time.perf_counter()
     while not units or time.perf_counter() - started < seconds:
         units.append(workload.unit())
+        calibration.sample_due()
     return units
 
 
@@ -85,25 +92,41 @@ def peak_rss_mb() -> float:
 def end_to_end(workload, seconds: float, details: dict) -> dict:
     import workloads
 
-    setups = []
-    for _ in range(SETUP_REPEATS):
-        imports = workloads.import_probe()
-        started = time.perf_counter()
-        workload.setup()
-        setups.append(imports + time.perf_counter() - started)
-    units = timed(workload, seconds)
-    workload.close()
+    calibration = hostspeed.Calibration()
+    try:
+        calibration.sample(CALIBRATION_REPEATS)
+        setups = []
+        for _ in range(SETUP_REPEATS):
+            imports = workloads.import_probe()
+            started = time.perf_counter()
+            workload.setup()
+            setups.append(imports + time.perf_counter() - started)
+        units = timed(workload, seconds, calibration)
+        workload.close()
+        calibration.sample(CALIBRATION_REPEATS)
+        # Before the reference process is waited for, so that its
+        # memory is not counted.
+        peak_mb = peak_rss_mb()
+    finally:
+        calibration.close()
     walls = [u.wall_s for u in units]
     tail_s, tail_pct, n = tail(walls)
-    details.update(setup_samples_s=setups, units=n, tail_percentile=tail_pct,
-                   unit_tasks=units[0].tasks)
-    return {
+    raw = {
         "setup_s": statistics.median(setups),
         "scenarios_per_s": rate(units),
         "job_s_p50": statistics.median(walls),
         "job_s_tail": tail_s,
-        "peak_rss_mb": peak_rss_mb(),
+        "peak_rss_mb": peak_mb,
     }
+    factor = calibration.factor()
+    details.update(setup_samples_s=setups, units=n, tail_percentile=tail_pct,
+                   unit_tasks=units[0].tasks, raw=raw, host_factor=factor,
+                   reference_s=statistics.median(calibration.samples),
+                   reference_samples=len(calibration.samples))
+    calibrated = {key: value * factor for key, value in raw.items()
+                  if END_TO_END[key] == "s"}
+    calibrated["scenarios_per_s"] = raw["scenarios_per_s"] / factor
+    return {**raw, **calibrated}
 
 
 def per_layer(workload, seconds: float, details: dict) -> dict:
@@ -250,8 +273,14 @@ def run_one(args) -> int:
           f"{details['unit_tasks']} tasks per unit, {workload.workers} "
           f"usable cores")
     for key, unit in declared.items():
-        print(f"  {key:<36} {metrics[key]:14.6g} {unit}")
+        line = f"  {key:<36} {metrics[key]:14.6g} {unit}"
+        if not args.trace and unit in ("s", "1/s"):
+            line += f"  (raw {details['raw'][key]:.6g})"
+        print(line)
     if not args.trace:
+        print(f"  {'host factor':<36} {details['host_factor']:14.6g} "
+              f"(reference loop median {details['reference_s'] * 1e3:.4g} "
+              f"ms over {details['reference_samples']} samples)")
         print(f"  {'tail percentile':<36} {details['tail_percentile']:14.4g} "
               f"% of {details['units']} samples")
     print(f"  {'failed_frac':<36} {failed / attempted:14.6g} "
@@ -323,11 +352,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="perfbench/run.py", description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True,
-                        help="table4-cold, table4-warm, cohort-mixed, "
-                             "serve-burst, or all")
+                        help="table4-cold, cohort-mixed, serve-burst "
+                             "(the BENCHMARK.json workloads), table4-warm, "
+                             "or all")
     parser.add_argument("--seed", type=int, required=True,
                         help="workload seed (>= 0): generates the inputs")
-    parser.add_argument("--seconds", type=float, default=20.0,
+    parser.add_argument("--seconds", type=float, default=35.0,
                         help="how long the timed part of a run lasts")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--smoke", action="store_true",

@@ -76,3 +76,18 @@ def test_refuses_to_run_without_the_sources(tmp_path):
     proc = _run("table4-cold", 0, cwd=tmp_path)
     assert proc.returncode != 0
     assert '"correct"' not in proc.stdout
+
+
+def test_reference_process_samples_and_stops():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import hostspeed
+
+    calibration = hostspeed.Calibration()
+    try:
+        calibration.sample(2)
+        calibration.sample_due()
+    finally:
+        calibration.close()
+    assert len(calibration.samples) == 2
+    assert calibration.factor() > 0
+    assert calibration.proc.returncode == 0
