@@ -1,25 +1,14 @@
-"""Dispatch-path overhead: binary frames vs pickled dicts, inline vs
-pool → ``BENCH_dispatch.json``.
+"""Dispatch-path overhead: inline vs pool → ``BENCH_dispatch.json``.
 
-Measures what the zero-overhead dispatch redesign buys:
+Measures what the adaptive executor's inline path buys on a sweep too
+small to amortise a process pool:
 
-* ``task_wire_legacy`` / ``task_wire_frames`` — tasks/s through the
-  submission wire (pickle round-trip of the shard payload vs TASK-frame
-  encode + decode against a resident plan);
-* ``result_wire_legacy`` / ``result_wire_frames`` — records/s through
-  the result wire (pickle round-trip of the full record dicts vs
-  RESULT-frame pack/encode/decode/inflate);
-* ``dispatch_overhead_reduction`` — the headline multiple (acceptance
-  gate: frames cut per-task dispatch overhead >= 3x);
 * ``inline_first_result`` / ``pool_first_result`` — submit→first-shard
   latency of a small sweep run in-process vs through a cold 1-worker
   pool (1/latency, so the regression check gates it like a rate);
 * ``inline_vs_pool_small_sweep`` — wall-time multiple of the forced
   1-worker pool over the inline executor on the same small sweep
   (acceptance gate: inline must win, i.e. > 1x).
-
-The wire benches also record bytes/task both ways (``aux``): the frame
-wire must be at least 3x smaller than the pickled-shard wire.
 
 Run directly (no pytest needed)::
 
@@ -37,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pickle
 import sys
 import time
 from pathlib import Path
@@ -45,16 +33,11 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.experiments import table4  # noqa: E402
-from repro.fleet import frames  # noqa: E402
-from repro.fleet.planner import Shard, plan_matrix  # noqa: E402
+from repro.fleet.planner import plan_matrix  # noqa: E402
 from repro.fleet.pool import execute_plan  # noqa: E402
 from repro.testbed.harness import HandlingMode  # noqa: E402
 
 BENCH_PATH = REPO_ROOT / "BENCH_dispatch.json"
-
-#: Codec workload: the Table 4 smoke plan (realistic shard/task mix).
-SUITE_RUNS = 8
 
 
 def _small_sweep_plan():
@@ -62,109 +45,6 @@ def _small_sweep_plan():
     return plan_matrix(
         scenario_patterns=["cp_timeout_transient"],
         modes=[HandlingMode.SEED_R], replicas=2, master_seed=5, shard_size=1)
-
-
-def _synthetic_records(plan):
-    """Record dicts shaped exactly like run_task output (no sim needed)."""
-    ctx = frames.PlanContext(plan)
-    records = []
-    for index, task in enumerate(sorted(ctx.tasks)):
-        packed = frames.PackedRecord(
-            task_id=task, duration=1.5 + index * 0.25,
-            recovered=index % 3 != 0, timed=index % 2 == 0,
-            notified_user=index % 5 == 0, handled=index % 2 == 0,
-            elided_events=index * 7)
-        records.append(ctx.inflate_record(packed))
-    return ctx, records
-
-
-def _bench_task_wire(plan, iterations: int) -> tuple[dict, dict, float, float]:
-    """Submission wire, both ends: what each path pays per dispatch.
-
-    Legacy re-serialises the full shard payload every round and the
-    worker rebuilds ``Shard``/``TaskSpec`` objects from it
-    (``to_json`` → pickle → unpickle → ``from_json``). The frame path
-    sends ``(task_id, seed)`` pairs and the worker verifies them
-    against the resident plan (encode → decode → lookup + compare) —
-    the object (re)construction cost is gone, which is the point.
-    """
-    ctx = frames.PlanContext(plan)
-    shard_ids = sorted(ctx.shards)
-    tasks = len(ctx.tasks)
-
-    started = time.perf_counter()
-    for _ in range(iterations):
-        for shard in plan.shards:
-            Shard.from_json(pickle.loads(pickle.dumps(shard.to_json())))
-    legacy_seconds = time.perf_counter() - started
-    legacy_bytes = sum(
-        len(pickle.dumps(shard.to_json())) for shard in plan.shards)
-
-    shard_index = {
-        shard.shard_id: tuple((t.task_id, t.seed) for t in shard.tasks)
-        for shard in plan.shards}
-    started = time.perf_counter()
-    for _ in range(iterations):
-        frame = frames.decode_frame(ctx.task_frame(shard_ids,
-                                                   with_blob=False))
-        for shard_id, pairs in frame.shards:
-            if pairs != shard_index[shard_id]:
-                raise AssertionError("wire/resident divergence")
-    frame_seconds = time.perf_counter() - started
-    frame_bytes = len(ctx.task_frame(shard_ids, with_blob=False))
-
-    total = tasks * iterations
-    legacy = {
-        "n": total,
-        "seconds": round(legacy_seconds, 4),
-        "rate": round(total / legacy_seconds, 2),
-        "unit": "tasks/s (to_json+pickle+from_json)",
-        "bytes_per_task": round(legacy_bytes / tasks, 1),
-    }
-    framed = {
-        "n": total,
-        "seconds": round(frame_seconds, 4),
-        "rate": round(total / frame_seconds, 2),
-        "unit": "tasks/s (frame encode+decode+verify)",
-        "bytes_per_task": round(frame_bytes / tasks, 1),
-    }
-    legacy_us = legacy_seconds / total * 1e6
-    frame_us = frame_seconds / total * 1e6
-    return legacy, framed, legacy_us, frame_us
-
-
-def _bench_result_wire(plan, iterations: int) -> tuple[dict, dict]:
-    """Result wire: pickled record dicts vs packed RESULT frames."""
-    ctx, records = _synthetic_records(plan)
-    learning = {"200": {"B3_DPLANE_RESET": 3, "B1_MODEM_RESET": 1}}
-    result_dict = {"shard_id": 0, "tasks": records, "learning": learning}
-
-    started = time.perf_counter()
-    for _ in range(iterations):
-        pickle.loads(pickle.dumps(result_dict))
-    legacy_seconds = time.perf_counter() - started
-
-    outcome = frames.ShardOutcome(
-        shard_id=0,
-        records=tuple(frames.pack_record(r) for r in records),
-        learning=frames.pack_learning(learning))
-    reply = frames.ResultFrame(
-        fingerprint=ctx.fingerprint, pid=0, shards=(outcome,))
-    started = time.perf_counter()
-    for _ in range(iterations):
-        decoded = frames.decode_frame(frames.encode_frame(reply))
-        ctx.inflate_shard(decoded.shards[0])
-    frame_seconds = time.perf_counter() - started
-
-    total = len(records) * iterations
-    return (
-        {"n": total, "seconds": round(legacy_seconds, 4),
-         "rate": round(total / legacy_seconds, 2),
-         "unit": "records/s (pickle round-trip)"},
-        {"n": total, "seconds": round(frame_seconds, 4),
-         "rate": round(total / frame_seconds, 2),
-         "unit": "records/s (pack+encode+decode+inflate)"},
-    )
 
 
 def _first_result_latency(plan, executor: str) -> tuple[float, float]:
@@ -186,25 +66,9 @@ def _first_result_latency(plan, executor: str) -> tuple[float, float]:
 
 
 def run_benches(quick: bool) -> dict:
-    iterations = 50 if quick else 300
-    codec_plan = table4.fleet_plan(runs=SUITE_RUNS, seed=4000, shard_size=2)
     sweep_plan = _small_sweep_plan()
 
     metrics = {}
-    legacy, framed, legacy_us, frame_us = _bench_task_wire(
-        codec_plan, iterations)
-    metrics["task_wire_legacy"] = legacy
-    metrics["task_wire_frames"] = framed
-    reduction = round(legacy_us / frame_us, 2)
-    metrics["dispatch_overhead_reduction"] = {
-        "rate": reduction, "unit": "x legacy per-task dispatch cost",
-        "legacy_us_per_task": round(legacy_us, 2),
-        "frames_us_per_task": round(frame_us, 2),
-    }
-    (metrics["result_wire_legacy"],
-     metrics["result_wire_frames"]) = _bench_result_wire(
-        codec_plan, iterations)
-
     inline_latency, inline_wall = _first_result_latency(sweep_plan, "inline")
     pool_latency, pool_wall = _first_result_latency(sweep_plan, "pool")
     metrics["inline_first_result"] = {
@@ -224,24 +88,15 @@ def run_benches(quick: bool) -> dict:
         "pool_wall_s": round(pool_wall, 4),
     }
 
-    # Acceptance gates: the frame wire must cut per-task dispatch
-    # overhead and wire bytes >= 3x, and inline must beat a 1-worker
-    # pool on a sweep too small to amortise it.
-    assert frame_us * 3 <= legacy_us, (
-        f"frames {frame_us:.2f}us/task vs legacy {legacy_us:.2f}us/task: "
-        f"under 3x reduction")
-    assert framed["bytes_per_task"] * 3 <= legacy["bytes_per_task"], (
-        f"frame wire {framed['bytes_per_task']}B/task vs pickled "
-        f"{legacy['bytes_per_task']}B/task: under 3x smaller")
+    # Acceptance gate: inline must beat a 1-worker pool on a sweep too
+    # small to amortise it.
     assert inline_wall < pool_wall, (
         f"inline {inline_wall:.3f}s must beat the 1-worker pool "
         f"{pool_wall:.3f}s on a small sweep")
 
     for name, values in metrics.items():
         print(f"{name:>28}: {values['rate']:>12,.1f} {values['unit']}")
-    return {"quick": quick, "suite": "table4", "runs": SUITE_RUNS,
-            "iterations": iterations, "cpu_count": os.cpu_count(),
-            "metrics": metrics}
+    return {"quick": quick, "cpu_count": os.cpu_count(), "metrics": metrics}
 
 
 def check_regression(report: dict, baseline_path: Path, tolerance: float) -> int:
@@ -268,7 +123,8 @@ def check_regression(report: dict, baseline_path: Path, tolerance: float) -> int
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="reduced iteration counts (CI smoke)")
+                        help="CI smoke (same workload; recorded in the "
+                             "report)")
     parser.add_argument("--check", metavar="BASELINE", default=None,
                         help="compare against a baseline JSON instead of "
                              "overwriting it; exit 1 on regression")

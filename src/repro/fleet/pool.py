@@ -32,15 +32,12 @@ are submitted up front. The executor's shared call queue *is* the
 steal queue — an idle worker pulls the next batch the moment it drains
 its current one.
 
-On the default dispatch path each steal batch travels as one **binary
-task frame** (:mod:`repro.fleet.frames`): workers hold a resident,
-fingerprint-checked copy of the plan (installed by the cold executor's
-initializer, or in-band from a compressed blob carried by the first
-few frames — a ``PLAN_MISS`` reply re-sends it, so a late or recycled
-worker can never run the wrong plan), tasks cross the wire as
-``(task_index, seed)`` pairs, and results return as packed structs
-that the pool inflates back into checkpoint-identical record dicts.
-Custom ``shard_fn`` s fall back to the legacy pickled-dict path.
+Each steal batch travels as one pickled list of ``(shard_id,
+payload)`` pairs, where the payload is ``Shard.to_json()``, and comes
+back as plain record dicts that go straight into the checkpoint.
+Every worker — of a cold per-sweep executor or of a warm
+:class:`WorkerPool` — starts through the same initializer: testbed
+preload plus the result-cache write-back when one is armed.
 
 Results are keyed by ``shard_id`` and returned sorted, so downstream
 aggregation sees the same sequence no matter which worker stole which
@@ -53,19 +50,13 @@ import logging
 import multiprocessing
 import threading
 import traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    as_completed,
-    wait,
-)
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator
 
 from repro.core.online_learning import merge_records
-from repro.fleet import frames
 from repro.fleet.checkpoint import Checkpoint
 from repro.fleet.planner import (
     FleetPlan,
@@ -74,12 +65,7 @@ from repro.fleet.planner import (
     steal_order,
 )
 from repro.fleet.resultcache import ResultCache
-from repro.fleet.worker import (
-    configure_cache,
-    preload_plan,
-    run_frame,
-    run_shard,
-)
+from repro.fleet.worker import configure_cache, run_shard
 from repro.testbed import preload
 
 log = logging.getLogger(__name__)
@@ -128,7 +114,11 @@ def resolve_executor(
 
 
 def _warm_worker_init(initializer, cache) -> None:
-    """Warm-pool worker start: user initializer + cache write-back.
+    """Pool worker start: initializer + cache write-back.
+
+    The one initializer of both executor kinds: a cold per-sweep
+    executor passes :func:`repro.testbed.preload`, a warm
+    :class:`WorkerPool` its own (``preload`` by default).
 
     Module-level (picklable) by fleet-safety contract.
     """
@@ -264,7 +254,6 @@ def execute_plan(
     on_shard: ShardCallback | None = None,
     stop: Callable[[], bool] | None = None,
     executor: str = "auto",
-    use_frames: bool | None = None,
     cache: ResultCache | None = None,
     on_cache: Callable[[int, int], None] | None = None,
 ) -> PoolOutcome:
@@ -274,13 +263,10 @@ def execute_plan(
     :class:`WorkerPool` (its worker count wins over ``workers``).
     ``executor`` picks the dispatch mode (``auto``/``pool``/``inline``
     — see the module docstring); ``auto`` may bypass a provided pool
-    entirely when the sweep is too small to amortise it. ``use_frames``
-    overrides the binary-frame wire (default: frames whenever the
-    stock ``run_shard`` goes through a process pool; custom shard
-    functions always use the pickled-dict path). ``on_shard`` fires for
-    every available result — checkpoint-restored shards first, then
-    fresh ones the moment they land — which is what the streaming
-    aggregator folds. ``stop`` is polled between results; once it
+    entirely when the sweep is too small to amortise it. ``on_shard``
+    fires for every available result — checkpoint-restored shards
+    first, then fresh ones the moment they land — which is what the
+    streaming aggregator folds. ``stop`` is polled between results; once it
     returns True no further work is scheduled, in-flight batches are
     cancelled where possible, and the partial outcome is returned with
     ``stopped=True`` (completed shards are already in the checkpoint,
@@ -302,11 +288,6 @@ def execute_plan(
     if pool is not None:
         workers = pool.workers
 
-    framed = use_frames
-    if framed is None:
-        framed = shard_fn is run_shard
-    elif framed and shard_fn is not run_shard:
-        raise ValueError("use_frames=True requires the stock run_shard")
     if cache is not None and shard_fn is not run_shard:
         cache = None
 
@@ -333,10 +314,6 @@ def execute_plan(
     if inline:
         pool, workers = None, 1
 
-    ctx = None
-    if framed and not inline:
-        ctx = frames.PlanContext(run_plan)
-
     payloads = {s.shard_id: s.to_json() for s in run_plan.shards}
     pending = {sid: 0 for sid in payloads if sid not in outcome.results}
     max_attempts = 1 + max(0, retries)
@@ -353,7 +330,7 @@ def execute_plan(
             round_ids = [sid for sid in queue_order if sid in pending]
             round_batches = _run_round(
                 shard_fn, payloads, round_ids, workers,
-                pool=pool, stop=stop, ctx=ctx, inline=inline, cache=cache)
+                pool=pool, stop=stop, inline=inline, cache=cache)
             for batch in round_batches:
                 for sid, result, error in batch:
                     pending[sid] += 1
@@ -491,7 +468,7 @@ def _attempt_inline(shard_fn, payload) -> tuple[dict | None, str | None]:
 
 
 def _run_shard_chunk(shard_fn, chunk) -> list[tuple[int, dict | None, str | None]]:
-    """Run a batch of shards inside one worker task (legacy dict wire).
+    """Run a batch of shards inside one worker task.
 
     Module-level (picklable) by fleet-safety contract. Exceptions are
     captured per shard, so one failing shard costs itself an attempt,
@@ -522,7 +499,7 @@ def _batches(round_ids: list[int], workers: int) -> list[list[int]]:
 
 def _run_round(
     shard_fn, payloads, round_ids, workers,
-    pool=None, stop=None, ctx=None, inline=False, cache=None,
+    pool=None, stop=None, inline=False, cache=None,
 ) -> Iterator[list[tuple[int, dict | None, str | None]]]:
     """One submission round, yielding outcomes one steal batch at a time.
 
@@ -531,13 +508,13 @@ def _run_round(
     completed rounds.
 
     Inline mode drains the steal queue in this process, yielding
-    singleton batches (per-record durability, matching the pre-frame
-    behavior). Pool mode submits all batches of the round up front; the
-    executor's shared call queue acts as the steal queue, so each
-    worker pulls the next pending batch the moment it finishes its
-    current one. With ``round_ids`` in LPT order the long shards start
-    first and the short tail backfills whichever worker frees up —
-    completion order varies, results do not.
+    singleton batches (per-record durability). Pool mode submits all
+    batches of the round up front; the executor's shared call queue
+    acts as the steal queue, so each worker pulls the next pending
+    batch the moment it finishes its current one. With ``round_ids`` in
+    LPT order the long shards start first and the short tail backfills
+    whichever worker frees up — completion order varies, results do
+    not.
 
     Without a warm ``pool`` the executor lives for exactly one round:
     if a worker dies and breaks it, every future of the round resolves
@@ -546,8 +523,9 @@ def _run_round(
     executor is borrowed and survives the round; only an observed
     ``BrokenProcessPool`` hands it back via :meth:`WorkerPool.discard`
     for a lazy rebuild — plain shard failures never cost a respawn.
-    Either way a broken batch future costs each of its shards one
-    attempt — never the run.
+    The submit itself can fail too, when a warm pool lost a worker
+    between sweeps. Either way every shard of a broken or unsubmitted
+    batch costs one attempt — never the run.
 
     ``stop`` is polled between batch completions; when it trips, still-
     queued batches are cancelled (a batch already on a worker runs to
@@ -560,168 +538,44 @@ def _run_round(
             yield [(sid, *_attempt_inline(shard_fn, payloads[sid]))]
         return
     own_executor = pool is None
-    if not own_executor:
-        executor = pool.executor()
-    elif ctx is not None:
-        # Cold per-sweep executor: install the plan at worker start
-        # (testbed preload + resident install, plus the result-cache
-        # write-back when armed), so the frame path never pays a
-        # PLAN_MISS round trip on a throwaway pool.
+    if own_executor:
         executor = ProcessPoolExecutor(
             max_workers=workers,
-            initializer=partial(preload_plan, ctx.blob, ctx.fingerprint,
-                                cache),
-        )
+            initializer=partial(_warm_worker_init, preload, cache))
     else:
-        executor = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=(partial(configure_cache, cache)
-                         if cache is not None else None))
+        executor = pool.executor()
     try:
-        if ctx is not None:
-            yield from _frame_round(
-                executor, ctx, round_ids, workers,
-                pool=pool, stop=stop, preinstalled=own_executor)
-        else:
-            yield from _dict_round(
-                executor, shard_fn, payloads, round_ids, workers,
-                pool=pool, stop=stop)
+        futures, submitted = {}, set()
+        try:
+            for ids in _batches(round_ids, workers):
+                chunk = [(sid, payloads[sid]) for sid in ids]
+                futures[executor.submit(
+                    _run_shard_chunk, shard_fn, chunk)] = ids
+                submitted.update(ids)
+        except Exception as exc:
+            yield _broken_batch(pool, exc, [
+                sid for sid in round_ids if sid not in submitted])
+        for future in as_completed(futures):
+            if stop is not None and stop():
+                for queued in futures:
+                    queued.cancel()
+                return
+            try:
+                yield list(future.result())
+            except Exception as exc:
+                yield _broken_batch(pool, exc, futures[future])
     finally:
         if own_executor:
             executor.shutdown(wait=True, cancel_futures=True)
 
 
-def _dict_round(
-    executor, shard_fn, payloads, round_ids, workers, pool=None, stop=None
-) -> Iterator[list[tuple[int, dict | None, str | None]]]:
-    """Legacy pickled-dict dispatch (custom shard functions)."""
-    futures = {
-        executor.submit(
-            _run_shard_chunk, shard_fn, [(sid, payloads[sid]) for sid in ids]
-        ): ids
-        for ids in _batches(round_ids, workers)
-    }
-    for future in as_completed(futures):
-        if stop is not None and stop():
-            for queued in futures:
-                queued.cancel()
-            return
-        ids = futures[future]
-        try:
-            yield list(future.result())
-        except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            if pool is not None and isinstance(exc, BrokenProcessPool):
-                pool.discard()
-            yield [(sid, None, error) for sid in ids]
+def _broken_batch(pool, exc, ids) -> list[tuple[int, None, str]]:
+    """Charge ``ids`` one attempt for an executor-level failure.
 
-
-# Per-executor resident-plan bookkeeping (how many fingerprints one
-# executor tracks before evicting the oldest entry).
-_RESIDENT_TABLE_CAP = 8
-
-
-def _resident_state(executor, fingerprint: str) -> dict:
-    """Blob/confirmation bookkeeping for one (executor, plan) pair.
-
-    Lives on the executor object so it dies with it: a rebuilt executor
-    (fresh worker processes) starts unconfirmed and re-ships the blob.
-    Touched only by the single dispatching thread of ``execute_plan``.
+    An observed ``BrokenProcessPool`` discards the warm executor so the
+    next round rebuilds it.
     """
-    table = getattr(executor, "_seed_resident", None)
-    if table is None:
-        table = {}
-        executor._seed_resident = table
-    state = table.get(fingerprint)
-    if state is None:
-        while len(table) >= _RESIDENT_TABLE_CAP:
-            table.pop(next(iter(table)))
-        state = {"confirmed": set(), "blobs_sent": 0}
-        table[fingerprint] = state
-    return state
-
-
-def _frame_round(
-    executor, ctx, round_ids, workers, pool=None, stop=None, preinstalled=False
-) -> Iterator[list[tuple[int, dict | None, str | None]]]:
-    """Binary-frame dispatch: compact task frames out, packed results in.
-
-    The plan blob rides along only until every worker is known to hold
-    the plan: at most the first ``workers`` submissions carry it, and a
-    ``PLAN_MISS`` reply (a worker whose first pull came later, or whose
-    resident cache evicted the plan) triggers one resubmission of the
-    same batch with the blob attached. Confirmations are tracked by
-    worker pid from RESULT frames.
-    """
-    state = _resident_state(executor, ctx.fingerprint)
-    if preinstalled:
-        # The cold executor's initializer installed the plan in every
-        # worker; never spend wire on the blob.
-        state["blobs_sent"] = workers
-
-    def submit(ids: list[int], force_blob: bool = False):
-        with_blob = force_blob or (
-            len(state["confirmed"]) < workers
-            and state["blobs_sent"] < workers)
-        if with_blob:
-            state["blobs_sent"] += 1
-        return executor.submit(run_frame, ctx.task_frame(ids, with_blob))
-
-    pending: dict = {}
-    try:
-        for ids in _batches(round_ids, workers):
-            pending[submit(ids)] = ids
-    except Exception as exc:
-        # Executor refused new work (e.g. already broken): every
-        # unsubmitted shard of the round costs one attempt.
-        error = f"{type(exc).__name__}: {exc}"
-        if pool is not None and isinstance(exc, BrokenProcessPool):
-            pool.discard()
-        submitted = {sid for ids in pending.values() for sid in ids}
-        yield [(sid, None, error) for sid in round_ids if sid not in submitted]
-
-    while pending:
-        done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
-        if stop is not None and stop():
-            for queued in pending:
-                queued.cancel()
-            return
-        for future in done:
-            ids = pending.pop(future)
-            try:
-                reply = frames.decode_frame(future.result())
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                if pool is not None and isinstance(exc, BrokenProcessPool):
-                    pool.discard()
-                yield [(sid, None, error) for sid in ids]
-                continue
-            if isinstance(reply, frames.PlanMissFrame):
-                try:
-                    pending[submit(ids, force_blob=True)] = ids
-                except Exception as exc:
-                    yield [(sid, None, f"{type(exc).__name__}: {exc}")
-                           for sid in ids]
-                continue
-            if (not isinstance(reply, frames.ResultFrame)
-                    or reply.fingerprint != ctx.fingerprint):
-                yield [(sid, None, "FrameError: unexpected reply frame")
-                       for sid in ids]
-                continue
-            state["confirmed"].add(reply.pid)
-            expected = set(ids)
-            batch = []
-            for shard_outcome in reply.shards:
-                if shard_outcome.shard_id not in expected:
-                    continue  # never un-account a shard of another batch
-                expected.discard(shard_outcome.shard_id)
-                if shard_outcome.error is not None:
-                    batch.append((shard_outcome.shard_id, None,
-                                  shard_outcome.error))
-                else:
-                    batch.append((shard_outcome.shard_id,
-                                  ctx.inflate_shard(shard_outcome), None))
-            for sid in sorted(expected):
-                batch.append((sid, None,
-                              "FrameError: shard missing from result frame"))
-            yield batch
+    if pool is not None and isinstance(exc, BrokenProcessPool):
+        pool.discard()
+    error = f"{type(exc).__name__}: {exc}"
+    return [(sid, None, error) for sid in ids]

@@ -5,7 +5,7 @@ depend only on the spec, never on which worker ran it" — which is
 exactly the contract memoization needs. This module turns that
 contract into an on-disk store of completed task records keyed by::
 
-    sha256(code_fingerprint, scenario, handling, seed, horizon,
+    sha256(generation, scenario, handling, seed, horizon,
            android_timers)
 
 ``code_fingerprint`` hashes the source files of the deterministic
@@ -30,10 +30,11 @@ Layout::
 
     <root>/<generation>/<key[:2]>/<key>.rc
 
-where ``generation`` is the code fingerprint, giving generation-based
-eviction for free: :meth:`ResultCache.prune` drops dead generations
-first, then oldest entries of the live one until under the size bound
-(``REPRO_RESULT_CACHE_MAX_MB``, default 512).
+where ``generation`` hashes the code fingerprint with the Python minor
+version and the run mode (quiescent or ``REPRO_FULL_HORIZON``), giving
+generation-based eviction for free: :meth:`ResultCache.prune` drops
+dead generations first, then oldest entries of the live one until
+under the size bound (``REPRO_RESULT_CACHE_MAX_MB``, default 512).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import hashlib
 import json
 import logging
 import os
+import sys
 import zlib
 from functools import lru_cache
 from pathlib import Path
@@ -87,7 +89,7 @@ _ENV_OFF = frozenset({"0", "off", "no", "false", "none"})
 
 @lru_cache(maxsize=1)
 def code_fingerprint() -> str:
-    """Hash of every deterministic-surface source file (the generation).
+    """Hash of every deterministic-surface source file.
 
     Files are folded in sorted relative-path order with their path
     names, so renames invalidate too. 16 hex chars, matching the plan
@@ -103,6 +105,24 @@ def code_fingerprint() -> str:
             digest.update(path.read_bytes())
             digest.update(b"\x00")
     return digest.hexdigest()[:16]
+
+
+def _live_generation() -> str:
+    """Code fingerprint, Python minor version and run mode, hashed.
+
+    ``REPRO_FULL_HORIZON=1`` records carry their own elided-event
+    counts (0), so a full-horizon run must never be answered with
+    quiescent records or the audit mode is defeated. Records are only
+    proven equal within one interpreter version, so each Python minor
+    version gets its own generation too. Read at :class:`ResultCache`
+    construction, outside the memoized :func:`code_fingerprint`, so the
+    mode is the one in force when the cache is built.
+    """
+    mode = ("full-horizon" if os.environ.get("REPRO_FULL_HORIZON") == "1"
+            else "quiescent")
+    python = "%d.%d" % sys.version_info[:2]
+    material = f"{code_fingerprint()}:{python}:{mode}"
+    return hashlib.sha256(material.encode()).hexdigest()[:16]
 
 
 def task_key(task: TaskSpec, code: str) -> str:
@@ -176,7 +196,7 @@ class ResultCache:
     lookups — so concurrent writers and concurrent daemons need no
     locks (identical keys hold identical bytes; last writer wins).
 
-    ``code_version`` overrides the computed :func:`code_fingerprint`
+    ``code_version`` overrides the computed generation
     (tests force generation bumps with it); ``max_bytes`` bounds
     :meth:`prune` (env ``REPRO_RESULT_CACHE_MAX_MB`` below that,
     512 MiB by default).
@@ -190,7 +210,7 @@ class ResultCache:
     ) -> None:
         self.root = Path(root)
         self.generation = (code_version if code_version is not None
-                           else code_fingerprint())
+                           else _live_generation())
         if max_bytes is None:
             env_mb = os.environ.get(ENV_MAX_MB)
             max_bytes = (int(env_mb) * 1024 * 1024 if env_mb

@@ -1,6 +1,6 @@
 """Whole-program machinery tests: call-graph resolution, the parse and
-finding caches, ``--changed`` incremental reporting, the SARIF
-reporter, and parallel-parse determinism.
+finding caches, ``--changed`` incremental reporting, and the SARIF
+reporter.
 
 The graph tests run on synthetic package trees written to ``tmp_path``
 so each resolution form (local call, imported symbol, module-attribute
@@ -261,10 +261,3 @@ class TestSarif:
         first = capsys.readouterr().out
         main(argv)
         assert first == capsys.readouterr().out
-
-
-class TestParallelParse:
-    def test_parallel_and_serial_reports_identical(self):
-        serial = lint_paths([FIXTURES], enforce_scope=False, jobs=1)
-        parallel = lint_paths([FIXTURES], enforce_scope=False, jobs=4)
-        assert serial and serial == parallel

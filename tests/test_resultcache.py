@@ -11,6 +11,7 @@ never an error, never a wrong byte.
 from __future__ import annotations
 
 import dataclasses
+import sys
 import time
 
 import pytest
@@ -299,6 +300,36 @@ class TestWarmResubmit:
         assert warm.cache_misses == 0
         assert warm_wall * 20 <= cold_wall, (
             f"warm {warm_wall:.4f}s vs cold {cold_wall:.4f}s")
+
+
+class TestGeneration:
+    """The run mode and the Python minor version are part of the
+    generation: neither may be answered with the other's records."""
+
+    def test_full_horizon_run_never_reads_quiescent_records(
+            self, tmp_path, monkeypatch):
+        plan = fast_plan(replicas=1)
+        tasks = task_count(plan)
+        monkeypatch.delenv("REPRO_FULL_HORIZON", raising=False)
+        primed = run_once(plan, tmp_path / "prime",
+                          ResultCache(tmp_path / "cache"))
+        assert primed.elided_events > 0
+
+        monkeypatch.setenv("REPRO_FULL_HORIZON", "1")
+        reference = run_once(plan, tmp_path / "ref")
+        audit = run_once(plan, tmp_path / "audit",
+                         ResultCache(tmp_path / "cache"))
+
+        assert (audit.cache_hits, audit.cache_misses) == (0, tasks)
+        assert audit.elided_events == reference.elided_events == 0
+        assert (aggregate_bytes(tmp_path / "audit")
+                == aggregate_bytes(tmp_path / "ref"))
+
+    def test_python_minor_version_splits_generations(
+            self, tmp_path, monkeypatch):
+        live = ResultCache(tmp_path).generation
+        monkeypatch.setattr(sys, "version_info", (3, 99, 0))
+        assert ResultCache(tmp_path).generation != live
 
 
 class TestEviction:

@@ -8,7 +8,11 @@ at one worker and at four.
 
 import json
 import os
+import signal
 import threading
+import time
+
+import pytest
 
 from repro.analysis.incremental import AggregateState
 from repro.fleet import FleetRunner, WorkerPool, canonical_json, execute_plan
@@ -294,9 +298,44 @@ def _crash_worker(payload):
     os._exit(1)
 
 
+def _proxy_shard(payload):
+    """A picklable custom shard fn (same results as the stock one)."""
+    return run_shard(payload)
+
+
+def _kill_workers(pool):
+    """SIGKILL every worker of a warm pool and wait until its executor
+    has noticed (a later submit then raises BrokenProcessPool)."""
+    executor = pool.executor()
+    for process in list(executor._processes.values()):
+        os.kill(process.pid, signal.SIGKILL)
+        process.join(timeout=30)
+    deadline = time.monotonic() + 30
+    while not executor._broken and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert executor._broken
+
+
 class TestPoolRebuild:
     """Warm-pool respawn discipline: plain shard failures retry on the
     same executor; only an observed BrokenProcessPool rebuilds it."""
+
+    @pytest.mark.parametrize("shard_fn", [run_shard, _proxy_shard],
+                             ids=["stock", "custom"])
+    def test_worker_killed_between_sweeps_costs_one_attempt(self, shard_fn):
+        plan = plan_from_spec(SPEC)
+        with WorkerPool(1) as pool:
+            first = execute_plan(plan, shard_fn=shard_fn, pool=pool,
+                                 executor="pool")
+            _kill_workers(pool)
+            second = execute_plan(plan, shard_fn=shard_fn, pool=pool,
+                                  executor="pool")
+            # the refused submit discarded the broken executor; the
+            # retry round ran on one fresh executor
+            assert pool.executors_spawned == 2
+        assert not second.failed
+        assert set(second.attempts.values()) == {2}
+        assert second.sorted_results() == first.sorted_results()
 
     def test_plain_failures_never_respawn(self):
         plan = plan_from_spec(SPEC)
