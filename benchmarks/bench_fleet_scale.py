@@ -6,11 +6,12 @@ root so the throughput trajectory is tracked across revisions.
 
 Three sections, matching the three executor paths:
 
-* ``workers`` — the shipped default (``executor="auto"``). This suite
-  is small enough that the cost model runs it inline at every worker
-  count, so the historical <1x multi-worker collapse on small boxes is
-  gone by construction: the 4-worker speedup must stay >= 0.9 (and in
-  practice sits at ~1.0) even on a single-core container.
+* ``workers`` — the shipped default (``executor="auto"``). With one
+  usable core ``auto`` runs inline at every worker count, and with more
+  it pools only when the saving beats the measured executor start-up,
+  so the historical <1x multi-worker collapse on small boxes is gone by
+  construction: the 4-worker speedup must stay >= 0.9 even on a
+  single-core container.
 * ``forced_pool`` — ``executor="pool"``, the honest process fan-out
   numbers including per-sweep executor spin-up (the old default).
 * ``warm_pool`` — ``executor="pool"`` on a reused
@@ -37,7 +38,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 from repro.analysis.tables import format_table  # noqa: E402
 from repro.experiments import table4  # noqa: E402
-from repro.fleet import FleetRunner, WorkerPool, resolve_executor  # noqa: E402
+from repro.fleet import FleetRunner, WorkerPool  # noqa: E402
 
 BENCH_PATH = REPO_ROOT / "BENCH_fleet.json"
 WORKER_COUNTS = (1, 2, 4)
@@ -74,7 +75,7 @@ def test_fleet_scale():
             "wall_seconds": round(wall, 3),
             "scenarios_per_sec": round(len(report.records) / wall, 3),
             "tasks": len(report.records),
-            "executor": resolve_executor("auto", plan, workers),
+            "executor": report.executor_mode,
         }
 
     base = measured[1]["wall_seconds"]
@@ -95,7 +96,7 @@ def test_fleet_scale():
 
     # The same sweeps on a reused warm pool; the priming sweep (spawn +
     # testbed preload) is excluded. executor="pool" pins the pool path:
-    # auto would run this suite inline and never touch the executor.
+    # on one usable core auto would run this suite inline.
     warm = {}
     for workers in POOL_COUNTS:
         with WorkerPool(workers) as pool:

@@ -23,6 +23,7 @@ import sys
 from repro.analysis.tables import format_table
 from repro.fleet.checkpoint import CheckpointMismatch
 from repro.fleet.planner import FleetPlan, plan_from_spec
+from repro.fleet.pool import usable_cores
 from repro.fleet.resultcache import resolve_cache
 from repro.fleet.runner import FleetRunner
 from repro.testbed.harness import HandlingMode
@@ -43,8 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="replay a paper suite instead of a scenario matrix")
     parser.add_argument("--runs", type=int, default=30,
                         help="suite size when --suite is used (default: 30)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes; 1 runs inline (default: 1)")
+    parser.add_argument("--workers", type=int, default=usable_cores(),
+                        help="worker processes; 1 runs inline "
+                             "(default: the usable cores, %(default)s here)")
     parser.add_argument("--seed", type=int, default=0,
                         help="master seed (default: 0)")
     parser.add_argument("--shard-size", type=int, default=4,
@@ -59,9 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "cohort's UEs (matrix sweeps; default: 1)")
     parser.add_argument("--executor", choices=("auto", "pool", "inline"),
                         default="auto",
-                        help="dispatch mode: auto lets the planner cost "
-                             "model pick inline vs process pool per sweep; "
-                             "results are identical either way (default: auto)")
+                        help="dispatch mode: auto runs the process pool "
+                             "when its saving at the usable parallelism "
+                             "beats its measured start-up cost, else "
+                             "inline; results are identical either way "
+                             "(default: auto)")
     parser.add_argument("--retries", type=int, default=2,
                         help="extra attempts per failed shard (default: 2)")
     parser.add_argument("--out", metavar="DIR",
@@ -170,7 +174,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"fleet: {len(report.records)} runs in {report.wall_seconds:.1f}s "
           f"({report.scenarios_per_sec:.1f} scenarios/sec; "
           f"{report.elided_events} events elided; "
-          f"{report.total_retries} shard retries)")
+          f"{report.total_retries} shard retries; "
+          f"executor {report.executor_reason})")
     if cache is not None:
         print(f"fleet: cache {report.cache_hits} hits, "
               f"{report.cache_misses} misses ({cache.root})")

@@ -49,6 +49,10 @@ class FleetReport:
     # never enter the deterministic aggregate or any fingerprint.
     cache_hits: int = 0
     cache_misses: int = 0
+    # Where the shards ran (inline|pool) and why — the auto executor's
+    # machine-local decision. Telemetry: never in the aggregate.
+    executor_mode: str = "inline"
+    executor_reason: str = ""
 
     @property
     def complete(self) -> bool:

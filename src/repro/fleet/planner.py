@@ -441,10 +441,10 @@ def estimated_plan_cost(plan: FleetPlan) -> float:
     """Total cost heuristic for a plan — the adaptive-executor input.
 
     Same units as :func:`estimated_task_cost` (simulated horizon
-    seconds scaled by handling mode), so the pool's inline-vs-pool
-    threshold is a pure function of the spec: every process, at any
-    worker count, resolves ``--executor auto`` the same way for the
-    same plan.
+    seconds scaled by handling mode). The pool turns it into predicted
+    inline seconds and weighs that against this machine's usable cores
+    and measured pool start-up, so the executor ``auto`` picks is
+    machine-local; the aggregate is byte-identical either way.
     """
     return sum(estimated_shard_cost(shard) for shard in plan.shards)
 

@@ -17,12 +17,17 @@ Three executor modes (``executor=`` / ``--executor``):
   steal queue in the same LPT order a single pool worker would;
 * ``pool`` — always dispatch through a process pool (a per-sweep
   throwaway executor, or a shared warm :class:`WorkerPool`);
-* ``auto`` (default) — consult the planner's deterministic cost model
-  (:func:`repro.fleet.planner.estimated_plan_cost`): when the sweep's
-  estimated work cannot amortise pool spin-up + IPC, run inline.
-  Either choice produces byte-identical aggregates (results merge
-  through the same task_id-sorted path), so the decision is free to be
-  machine-local — exactly like the worker count itself.
+* ``auto`` (default) — price both paths in seconds from facts this
+  process can observe (:func:`resolve_executor`): the parallelism
+  ``p = min(workers, usable cores, shards)``, the plan's inline time
+  (planner cost units over :data:`INLINE_UNITS_PER_S`) and the
+  start-up cost of the executor that would run it — 0 for a warm
+  :class:`WorkerPool`, else what its start method measured earlier in
+  this process. The pool wins when it saves more than it costs to
+  start: ``inline_s * (1 - 1/p) > start-up``. With ``p < 2`` it is
+  always inline. The choice is machine-local and never observable in
+  results: both paths merge through the same task_id-sorted fold, so
+  aggregates are byte-identical either way, like the worker count.
 
 Within a pool round, shards are scheduled by **work stealing**: the
 round's shards are ordered longest-first by the planner's cost
@@ -37,7 +42,10 @@ payload)`` pairs, where the payload is ``Shard.to_json()``, and comes
 back as plain record dicts that go straight into the checkpoint.
 Every worker — of a cold per-sweep executor or of a warm
 :class:`WorkerPool` — starts through the same initializer: testbed
-preload plus the result-cache write-back when one is armed.
+preload plus the result-cache write-back when one is armed. The first
+executor of each start method a process builds also carries a no-op
+probe ahead of the batches; its round trip is the start-up cost
+``auto`` prices every later sweep with.
 
 Results are keyed by ``shard_id`` and returned sorted, so downstream
 aggregation sees the same sequence no matter which worker stole which
@@ -48,7 +56,9 @@ from __future__ import annotations
 
 import logging
 import multiprocessing
+import os
 import threading
+import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
@@ -83,15 +93,43 @@ _GSS_FACTOR = 2
 
 EXECUTOR_MODES = ("auto", "pool", "inline")
 
-# Adaptive-executor thresholds, in planner cost units (simulated
-# horizon seconds x handling factor). One core pushes roughly 500k
-# units/s through the quiescent testbed, so 250k units is ~0.5s of
-# real work — about what pool spawn + per-batch IPC costs on a small
-# box. A warm pool has already paid its spawn, so its bar is lower.
-# The numbers only steer the executor choice; aggregates are identical
-# either way.
-INLINE_COST_THRESHOLD = 250_000.0
-INLINE_COST_THRESHOLD_WARM = 150_000.0
+#: Calibration for the inline-time estimate: planner cost units one
+#: core simulates per second. Measured on the 2-core dev host as Table
+#: 4 at runs=8: 133,920 units in 0.345 s of pure simulation. With a
+#: fork start-up of ~17 ms the executor choice barely depends on it.
+INLINE_UNITS_PER_S = 390_000.0
+
+#: Measured executor start-up in seconds, by start method: from
+#: building the executor to its first worker answering the start-up
+#: probe. Recorded once per process, on the executor a sweep goes on
+#: to use. A method not measured yet is priced at 0, so its first
+#: eligible sweep tries the pool and measures it.
+_STARTUP_S: dict[str, float] = {}
+
+
+def usable_cores() -> int:
+    """Cores this process may run on (its affinity mask, if known)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _cold_start_method() -> str:
+    """Start method of a per-sweep executor (the process default)."""
+    return (multiprocessing.get_start_method(allow_none=True)
+            or multiprocessing.get_all_start_methods()[0])
+
+
+def _startup_price(pool: "WorkerPool | None") -> tuple[float, str]:
+    """(start-up seconds, description) of the executor a sweep would use."""
+    if pool is not None and pool.is_warm():
+        return 0.0, "start-up 0 s (warm pool)"
+    method = pool.start_method if pool is not None else _cold_start_method()
+    measured = _STARTUP_S.get(method)
+    if measured is None:
+        return 0.0, f"start-up unmeasured ({method})"
+    return measured, f"start-up {measured:.3f} s ({method})"
 
 
 def resolve_executor(
@@ -99,18 +137,55 @@ def resolve_executor(
     plan: FleetPlan,
     workers: int,
     pool: "WorkerPool | None" = None,
-) -> str:
-    """Resolve ``auto`` into ``inline`` or ``pool`` for one sweep."""
+) -> tuple[str, str]:
+    """Resolve ``mode`` for one sweep into ``(inline|pool, reason)``.
+
+    ``auto`` takes the pool when it saves more than it costs to start:
+    with ``p = min(workers, usable cores, shards)``, when ``p >= 2``
+    and ``inline_s * (1 - 1/p)`` exceeds the start-up seconds of the
+    executor that would run (:func:`_startup_price`). The reason is
+    telemetry for reports and job status; it never enters aggregates
+    or fingerprints.
+    """
     if mode not in EXECUTOR_MODES:
         raise ValueError(
             f"unknown executor mode {mode!r} (valid: {', '.join(EXECUTOR_MODES)})")
     if mode != "auto":
-        return mode
-    if workers <= 1 and pool is None:
-        return "inline"
-    warm = pool is not None and pool.is_warm()
-    threshold = INLINE_COST_THRESHOLD_WARM if warm else INLINE_COST_THRESHOLD
-    return "inline" if estimated_plan_cost(plan) < threshold else "pool"
+        return mode, f"{mode}: requested"
+    cores = usable_cores()
+    shards = len(plan.shards)
+    p = min(workers, cores, shards)
+    if p < 2:
+        return "inline", (f"inline: p={p} (workers {workers}, "
+                          f"usable cores {cores}, shards {shards})")
+    inline_s = estimated_plan_cost(plan) / INLINE_UNITS_PER_S
+    startup_s, startup = _startup_price(pool)
+    chosen = "pool" if inline_s * (1 - 1 / p) > startup_s else "inline"
+    return chosen, f"{chosen}: p={p}, inline≈{inline_s:.2f} s, {startup}"
+
+
+def _startup_probe() -> None:
+    """No-op task queued ahead of a new executor's first batch."""
+
+
+def _probe_startup(
+    executor: ProcessPoolExecutor, method: str, started: float,
+) -> None:
+    """Time ``executor``'s start-up, once per process and start method.
+
+    The probe is the first task in the call queue, so it completes when
+    the first worker has booted and run its initializer. The callback
+    runs on the executor's management thread; its one dict write is
+    atomic.
+    """
+    if method in _STARTUP_S:
+        return
+
+    def record(future) -> None:
+        if not future.cancelled() and future.exception() is None:
+            _STARTUP_S.setdefault(method, time.perf_counter() - started)
+
+    executor.submit(_startup_probe).add_done_callback(record)
 
 
 def _warm_worker_init(initializer, cache) -> None:
@@ -161,6 +236,8 @@ class WorkerPool:
     never resurrect or double-build an executor (CONC001 discipline).
     """
 
+    start_method = "spawn"
+
     def __init__(
         self,
         workers: int,
@@ -187,7 +264,8 @@ class WorkerPool:
             if self._executor is None:
                 self._executor = ProcessPoolExecutor(
                     max_workers=self.workers,
-                    mp_context=multiprocessing.get_context("spawn"),
+                    mp_context=multiprocessing.get_context(
+                        self.start_method),
                     initializer=partial(_warm_worker_init,
                                         self.initializer, self.cache),
                 )
@@ -235,6 +313,7 @@ class PoolOutcome:
     skipped: int = 0                                         # shards restored from checkpoint
     stopped: bool = False                                    # cancelled before completion
     executor_mode: str = "inline"                            # resolved inline|pool
+    executor_reason: str = ""                                # why (telemetry only)
     # Result-cache partition counters (task-level). Telemetry like
     # elided_events: never enters aggregates or fingerprints.
     cache_hits: int = 0
@@ -263,7 +342,8 @@ def execute_plan(
     :class:`WorkerPool` (its worker count wins over ``workers``).
     ``executor`` picks the dispatch mode (``auto``/``pool``/``inline``
     — see the module docstring); ``auto`` may bypass a provided pool
-    entirely when the sweep is too small to amortise it. ``on_shard``
+    entirely when the sweep would not repay starting it. The outcome
+    records the resolved mode and the reason for it. ``on_shard``
     fires for every available result — checkpoint-restored shards
     first, then fresh ones the moment they land — which is what the
     streaming aggregator folds. ``stop`` is polled between results; once it
@@ -308,7 +388,8 @@ def execute_plan(
     # The residual plan prices the executor decision: a mostly warm
     # resubmit has little work left, so auto resolves it inline even
     # when the submitted sweep would have amortised a pool.
-    mode = resolve_executor(executor, run_plan, workers, pool)
+    mode, outcome.executor_reason = resolve_executor(
+        executor, run_plan, workers, pool)
     outcome.executor_mode = mode
     inline = mode == "inline"
     if inline:
@@ -516,6 +597,10 @@ def _run_round(
     whichever worker frees up — completion order varies, results do
     not.
 
+    A newly built executor (a cold one, or a warm ``pool``'s first)
+    carries the start-up probe (:func:`_probe_startup`) ahead of its
+    batches, until its start method has been measured in this process.
+
     Without a warm ``pool`` the executor lives for exactly one round:
     if a worker dies and breaks it, every future of the round resolves
     (some with ``BrokenProcessPool``), the broken executor is
@@ -538,15 +623,22 @@ def _run_round(
             yield [(sid, *_attempt_inline(shard_fn, payloads[sid]))]
         return
     own_executor = pool is None
+    started, method = time.perf_counter(), None
     if own_executor:
+        method = _cold_start_method()
         executor = ProcessPoolExecutor(
             max_workers=workers,
+            mp_context=multiprocessing.get_context(method),
             initializer=partial(_warm_worker_init, preload, cache))
     else:
+        if not pool.is_warm():
+            method = pool.start_method
         executor = pool.executor()
     try:
         futures, submitted = {}, set()
         try:
+            if method is not None:
+                _probe_startup(executor, method, started)
             for ids in _batches(round_ids, workers):
                 chunk = [(sid, payloads[sid]) for sid in ids]
                 futures[executor.submit(

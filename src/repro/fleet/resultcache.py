@@ -10,8 +10,9 @@ contract into an on-disk store of completed task records keyed by::
 
 ``code_fingerprint`` hashes the source files of the deterministic
 surface (simkernel/core/infra/nas/crypto/testbed/traces/transport/
-device/sim_card), so any code change that could alter a record
-invalidates the whole cache generation cleanly. The key deliberately
+device/sim_card) plus the record builder ``fleet/worker.py``, so any
+code change that could alter a record invalidates the whole cache
+generation cleanly. The key deliberately
 excludes ``task_id`` and ``replica`` (plan coordinates, rewritten on
 hit) and anything about *how* a sweep runs — executor mode, worker
 count, shard or cohort packing — because none of it affects the
@@ -62,13 +63,19 @@ _HEADER_LEN = len(MAGIC) + 1 + 4 + 32
 ENTRY_SUFFIX = ".rc"
 
 #: Packages whose sources define the deterministic surface: anything
-#: that can change a task record lives under one of these. fleet/serve
-#: orchestration, analysis, and experiments are deliberately excluded
-#: — they move records around but never produce their bytes.
+#: that can change a task record lives under one of these or in
+#: :data:`RECORD_MODULES`. The rest of fleet, serve, analysis and
+#: experiments are deliberately excluded — they move records around
+#: but never produce their bytes.
 DETERMINISTIC_PACKAGES = (
     "core", "crypto", "device", "infra", "nas", "sim_card", "simkernel",
     "testbed", "traces", "transport",
 )
+
+#: Single modules outside those packages that write record bytes:
+#: ``fleet/worker.py`` builds every record a cache entry holds
+#: (``_task_record``).
+RECORD_MODULES = ("fleet/worker.py",)
 
 #: The TaskSpec fields a cache key may depend on — the fingerprint-
 #: stable coordinates of the simulation itself. PROTO006 statically
@@ -91,19 +98,20 @@ _ENV_OFF = frozenset({"0", "off", "no", "false", "none"})
 def code_fingerprint() -> str:
     """Hash of every deterministic-surface source file.
 
-    Files are folded in sorted relative-path order with their path
-    names, so renames invalidate too. 16 hex chars, matching the plan
-    fingerprint width.
+    Files are folded package by package in sorted relative-path order,
+    then :data:`RECORD_MODULES`, each with its path name, so renames
+    invalidate too. 16 hex chars, matching the plan fingerprint width.
     """
     package_root = Path(__file__).resolve().parent.parent
+    paths = [path for package in DETERMINISTIC_PACKAGES
+             for path in sorted((package_root / package).rglob("*.py"))]
+    paths += [package_root / module for module in RECORD_MODULES]
     digest = hashlib.sha256()
-    for package in DETERMINISTIC_PACKAGES:
-        base = package_root / package
-        for path in sorted(base.rglob("*.py")):
-            digest.update(str(path.relative_to(package_root)).encode())
-            digest.update(b"\x00")
-            digest.update(path.read_bytes())
-            digest.update(b"\x00")
+    for path in paths:
+        digest.update(str(path.relative_to(package_root)).encode())
+        digest.update(b"\x00")
+        digest.update(path.read_bytes())
+        digest.update(b"\x00")
     return digest.hexdigest()[:16]
 
 

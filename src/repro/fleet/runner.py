@@ -52,10 +52,10 @@ class FleetRunner:
         the report carries ``cancelled=True`` (the checkpoint keeps
         every completed shard, so the run is resumable).
     executor:
-        Dispatch mode — ``auto`` (default: the planner cost model
-        decides whether the sweep amortises a process pool, else runs
-        inline), ``pool``, or ``inline``. Never affects results, only
-        where the shards execute.
+        Dispatch mode — ``auto`` (default: the pool when its saving
+        over inline, at the usable parallelism, beats its measured
+        start-up cost), ``pool``, or ``inline``. Never affects results,
+        only where the shards execute; the report says which and why.
     cache:
         A content-addressed :class:`~repro.fleet.resultcache.
         ResultCache`: previously computed tasks are served from it
@@ -126,4 +126,6 @@ class FleetRunner:
             cancelled=outcome.stopped,
             cache_hits=outcome.cache_hits,
             cache_misses=outcome.cache_misses,
+            executor_mode=outcome.executor_mode,
+            executor_reason=outcome.executor_reason,
         )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 from repro.fleet.cli import spec_from_args
@@ -53,9 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="extra attempts per failed shard (default: 2)")
     start.add_argument("--executor", choices=("auto", "pool", "inline"),
                        default="auto",
-                       help="dispatch mode for served sweeps: auto lets the "
-                            "planner cost model pick inline vs the warm pool "
-                            "per job (default: auto)")
+                       help="dispatch mode for served sweeps: auto runs "
+                            "the warm pool when its saving at the usable "
+                            "parallelism beats its start-up cost (0 once "
+                            "warm), else inline (default: auto)")
     start.add_argument("--cache", action=argparse.BooleanOptionalAction,
                        default=None,
                        help="content-addressed result cache shared by all "
@@ -113,6 +115,9 @@ def _cmd_start(args: argparse.Namespace) -> int:
                          cache_dir=args.cache_dir)
     print(f"serve: listening on {daemon.url} "
           f"(workers {args.workers}, root {args.root})")
+    # SIGTERM takes the Ctrl-C path: serve_forever unwinds through
+    # close(), which retires the warm pool's workers.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         daemon.serve_forever()
     except KeyboardInterrupt:

@@ -77,6 +77,9 @@ class Job:
         #: like timings — never part of the aggregate).
         self.cache_hits = 0
         self.cache_misses = 0
+        #: Resolved executor and why (telemetry, set once the sweep ran).
+        self.executor: str | None = None
+        self.executor_reason: str | None = None
         self.stream = AggregateState()
         self.timings: dict[str, float] = {}   # perf_counter durations (s)
         self.registry_path: str | None = None
@@ -175,6 +178,13 @@ class Job:
             self.cache_misses = misses
             self._bump_locked()
 
+    def note_executor(self, mode: str, reason: str) -> None:
+        """Record where the sweep ran (inline|pool) and why."""
+        with self.cond:
+            self.executor = mode
+            self.executor_reason = reason
+            self._bump_locked()
+
     def request_cancel(self) -> None:
         """Cancel: immediate for queued jobs, cooperative for running.
 
@@ -223,6 +233,8 @@ class Job:
                 "tasks_total": self.tasks_total,
                 "cache_hits": self.cache_hits,
                 "cache_misses": self.cache_misses,
+                "executor": self.executor,
+                "executor_reason": self.executor_reason,
                 "timings": dict(sorted(self.timings.items())),
                 "registry_path": self.registry_path,
                 "spec": self.spec,
@@ -363,6 +375,7 @@ class JobQueue:
         except CheckpointMismatch as exc:
             job.mark(JobState.FAILED, str(exc))
             return
+        job.note_executor(outcome.executor_mode, outcome.executor_reason)
         with self._lock:
             self._cache_hits_total += outcome.cache_hits
             self._cache_misses_total += outcome.cache_misses

@@ -11,19 +11,15 @@ results.
 import pytest
 
 from repro.fleet import FleetRunner, WorkerPool, canonical_json
+from repro.fleet import pool as pool_module
 from repro.fleet.checkpoint import Checkpoint
 from repro.fleet.planner import (
     Shard,
     chunk_cohorts,
-    estimated_plan_cost,
     plan_from_spec,
     plan_matrix,
 )
-from repro.fleet.pool import (
-    INLINE_COST_THRESHOLD,
-    execute_plan,
-    resolve_executor,
-)
+from repro.fleet.pool import execute_plan, resolve_executor
 from repro.fleet.worker import run_shard
 from repro.testbed.harness import HandlingMode
 
@@ -92,32 +88,134 @@ class TestAggregateParity:
             assert pool.executors_spawned == 1
 
 
+def table4_plan(runs=8):
+    """Table 4 at ``runs`` (17 shards, 133,920 cost units at 8)."""
+    return plan_from_spec({"kind": "suite", "suite": "table4",
+                           "runs": runs, "seed": 4000})
+
+
+@pytest.fixture
+def host(monkeypatch):
+    """Pin the facts ``auto`` prices with: usable cores and start-ups.
+
+    ``host(cores, fork=..., spawn=...)`` patches the usable core count
+    and the recorded start-up seconds; the cold executor's start method
+    gets the ``fork`` figure whatever this platform's default is.
+    """
+    def pin(cores, fork=0.017, spawn=0.53):
+        monkeypatch.setattr(pool_module, "usable_cores", lambda: cores)
+        startup = {"spawn": spawn}
+        startup[pool_module._cold_start_method()] = fork
+        monkeypatch.setattr(pool_module, "_STARTUP_S", startup)
+    return pin
+
+
 class TestExecutorResolution:
     def test_explicit_modes_pass_through(self):
         plan = tiny_plan()
-        assert resolve_executor("inline", plan, 4) == "inline"
-        assert resolve_executor("pool", plan, 1) == "pool"
+        assert resolve_executor("inline", plan, 4) == (
+            "inline", "inline: requested")
+        assert resolve_executor("pool", plan, 1) == ("pool", "pool: requested")
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             resolve_executor("turbo", tiny_plan(), 1)
 
     def test_auto_single_worker_is_inline(self):
-        assert resolve_executor("auto", tiny_plan(), 1) == "inline"
+        assert resolve_executor("auto", tiny_plan(), 1)[0] == "inline"
 
-    def test_auto_uses_the_cost_model(self):
-        small = cohort_plan()          # ~19k cost units
-        assert estimated_plan_cost(small) < INLINE_COST_THRESHOLD
-        assert resolve_executor("auto", small, 4) == "inline"
+    def test_one_usable_core_is_inline_for_a_big_plan(self, host):
+        host(cores=1)
+        mode, reason = resolve_executor("auto", table4_plan(30), 4)
+        assert mode == "inline"
+        assert reason.startswith("inline: p=1 ")
+        assert "usable cores 1" in reason
 
-        big = plan_from_spec({"kind": "suite", "suite": "table4",
-                              "runs": 30, "seed": 4000, "shard_size": 4})
-        assert estimated_plan_cost(big) > INLINE_COST_THRESHOLD
-        assert resolve_executor("auto", big, 4) == "pool"
+    def test_one_usable_core_is_inline_even_for_a_warm_pool(
+            self, host, monkeypatch):
+        host(cores=1)
+        pool = WorkerPool(4)
+        monkeypatch.setattr(pool, "is_warm", lambda: True)
+        assert resolve_executor("auto", table4_plan(30), 4, pool)[0] == "inline"
+
+    def test_two_cores_pool_table4(self, host):
+        host(cores=2)
+        mode, reason = resolve_executor("auto", table4_plan(8), 2)
+        assert mode == "pool"
+        assert reason.startswith("pool: p=2, inline≈0.34 s, start-up 0.017 s")
+
+    def test_start_up_above_the_saving_is_inline(self, host):
+        # 0.34 s inline at p=2 saves 0.17 s: a 0.2 s start-up loses.
+        host(cores=2, fork=0.2)
+        assert resolve_executor("auto", table4_plan(8), 2)[0] == "inline"
+
+    def test_warm_pool_costs_nothing_to_start(self, host, monkeypatch):
+        host(cores=2)
+        small = cohort_plan()          # 2 shards, ~0.05 s inline
+        pool = WorkerPool(2)
+        assert resolve_executor("auto", small, 2, pool) == (
+            "inline", "inline: p=2, inline≈0.05 s, start-up 0.530 s (spawn)")
+        monkeypatch.setattr(pool, "is_warm", lambda: True)
+        assert resolve_executor("auto", small, 2, pool) == (
+            "pool", "pool: p=2, inline≈0.05 s, start-up 0 s (warm pool)")
+
+    def test_single_shard_plan_is_inline(self, host, monkeypatch):
+        host(cores=8)
+        pool = WorkerPool(8)
+        monkeypatch.setattr(pool, "is_warm", lambda: True)
+        assert resolve_executor("auto", tiny_plan(), 8)[0] == "inline"
+        assert resolve_executor("auto", tiny_plan(), 8, pool)[0] == "inline"
+
+    def test_unmeasured_start_method_is_tried_then_measured(self, monkeypatch):
+        monkeypatch.setattr(pool_module, "usable_cores", lambda: 2)
+        monkeypatch.setattr(pool_module, "_STARTUP_S", {})
+        method = pool_module._cold_start_method()
+        mode, reason = resolve_executor("auto", cohort_plan(), 2)
+        assert mode == "pool"
+        assert reason.endswith(f"start-up unmeasured ({method})")
+
+        outcome = execute_plan(cohort_plan(), workers=2, executor="auto")
+        assert outcome.executor_mode == "pool" and not outcome.failed
+        measured = pool_module._STARTUP_S[method]
+        assert 0 < measured < 60
+        # once per process: a second pooled sweep keeps the first figure
+        execute_plan(cohort_plan(), workers=2, executor="pool")
+        assert pool_module._STARTUP_S[method] == measured
 
     def test_outcome_reports_resolved_mode(self, tmp_path):
         outcome = execute_plan(tiny_plan(), workers=4, executor="auto")
         assert outcome.executor_mode == "inline"
+        assert outcome.executor_reason.startswith("inline: p=1 ")
+
+    def test_auto_matches_inline_bytes_on_table4(self, tmp_path, host):
+        host(cores=2)
+        reference = aggregate_bytes(tmp_path, "inline", table4_plan(8),
+                                    workers=2, executor="inline")
+        out = tmp_path / "auto"
+        report = FleetRunner(table4_plan(8), workers=2, executor="auto",
+                             out_dir=str(out)).run()
+        assert report.complete, report.failed_shards
+        assert report.executor_mode == "pool"
+        assert (out / "aggregate.json").read_bytes() == reference
+
+    def test_reason_stays_out_of_aggregate_and_fingerprints(
+            self, tmp_path, host):
+        plan = cohort_plan()
+        runs = {}
+        for name, fork in (("cheap", 0.0), ("dear", 100.0)):
+            host(cores=2, fork=fork)
+            out = tmp_path / name
+            report = FleetRunner(plan, workers=2, out_dir=str(out)).run()
+            assert report.complete, report.failed_shards
+            runs[name] = (report, out)
+        (cheap, cheap_out), (dear, dear_out) = runs["cheap"], runs["dear"]
+        assert (cheap.executor_mode, dear.executor_mode) == ("pool", "inline")
+        assert cheap.executor_reason != dear.executor_reason
+        for name in ("aggregate.json", "manifest.json"):
+            blob = (cheap_out / name).read_bytes()
+            assert blob == (dear_out / name).read_bytes()
+            assert b"executor" not in blob and b"start-up" not in blob
+        assert plan.fingerprint() == cohort_plan().fingerprint()
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,13 @@ never an error, never a wrong byte.
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
+import shutil
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -330,6 +335,55 @@ class TestGeneration:
         live = ResultCache(tmp_path).generation
         monkeypatch.setattr(sys, "version_info", (3, 99, 0))
         assert ResultCache(tmp_path).generation != live
+
+
+#: Runs a small sweep against a cache dir and prints (hits, misses);
+#: argv: cache dir, run dir. The tree under test comes from PYTHONPATH.
+_SWEEP = """
+import json, sys
+from repro.fleet import FleetRunner, ResultCache, plan_matrix
+from repro.testbed.harness import HandlingMode
+plan = plan_matrix(scenario_patterns=["cp_timeout_transient", "dp_transient"],
+                   modes=[HandlingMode.LEGACY, HandlingMode.SEED_R],
+                   replicas=2, master_seed=77, shard_size=2)
+report = FleetRunner(plan, workers=1, executor="inline", out_dir=sys.argv[2],
+                     cache=ResultCache(sys.argv[1])).run()
+print(json.dumps([report.cache_hits, report.cache_misses]))
+"""
+
+
+class TestSourceEdits:
+    """An edit to any source that writes record bytes is a full miss."""
+
+    def _sweep(self, tree, cache, out):
+        env = dict(os.environ, PYTHONPATH=str(tree))
+        done = subprocess.run(
+            [sys.executable, "-c", _SWEEP, str(cache), str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return tuple(json.loads(done.stdout.splitlines()[-1]))
+
+    def test_record_builder_edit_is_a_full_miss(self, tmp_path):
+        tree = tmp_path / "src"
+        shutil.copytree(Path(__file__).resolve().parents[1] / "src" / "repro",
+                        tree / "repro",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        cache = tmp_path / "cache"
+        tasks = task_count(fast_plan())
+
+        assert self._sweep(tree, cache, tmp_path / "prime") == (0, tasks)
+        # control: the unedited tree is answered from the cache
+        assert self._sweep(tree, cache, tmp_path / "warm") == (tasks, 0)
+
+        worker = tree / "repro" / "fleet" / "worker.py"
+        source = worker.read_text()
+        line = '"duration": result.duration,'
+        assert source.count(line) == 1
+        worker.write_text(source.replace(
+            line, '"duration": result.duration + 1.0,'))
+        assert self._sweep(tree, cache, tmp_path / "edited") == (0, tasks)
+        assert (aggregate_bytes(tmp_path / "edited")
+                != aggregate_bytes(tmp_path / "prime"))
 
 
 class TestEviction:

@@ -445,3 +445,72 @@ class TestHttpApi:
         finally:
             daemon.shutdown()
             daemon.close()
+
+
+def _children(pid):
+    """(pid, cmdline) of every live child process of ``pid`` (Linux)."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+            with open(f"/proc/{entry}/cmdline", "rb") as cmd:
+                cmdline = cmd.read().replace(b"\0", b" ").decode()
+        except OSError:
+            continue
+        if int(fields[1]) == pid:
+            found.append((int(entry), cmdline))
+    return found
+
+
+def _alive(pid):
+    """Whether ``pid`` runs (a zombie has already exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+class TestDaemonSignals:
+    def test_sigterm_retires_the_warm_pool(self, tmp_path):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED="1")
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "--port", "0", "start",
+             "--root", str(tmp_path / "serve"), "--workers", "2",
+             "--executor", "pool", "--no-cache"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+            text=True)
+        try:
+            banner = daemon.stdout.readline()
+            url = banner.split("listening on ", 1)[1].split()[0]
+            host, port = url.removeprefix("http://").rsplit(":", 1)
+            client = ServeClient(host, int(port))
+            status = client.wait_done(client.submit(SPEC)["job_id"])
+            assert status["state"] == "done", status["error"]
+            assert (status["executor"], status["executor_reason"]) == (
+                "pool", "pool: requested")
+            workers = [pid for pid, cmdline in _children(daemon.pid)
+                       if "spawn_main" in cmdline]
+            assert len(workers) == 2
+
+            daemon.send_signal(signal.SIGTERM)
+            assert daemon.wait(timeout=60) == 0
+            deadline = time.monotonic() + 30
+            while (any(map(_alive, workers))
+                   and time.monotonic() < deadline):
+                time.sleep(0.1)
+            assert not [pid for pid in workers if _alive(pid)]
+        finally:
+            if daemon.poll() is None:
+                daemon.kill()
+                daemon.wait(timeout=30)
+            daemon.stdout.close()
